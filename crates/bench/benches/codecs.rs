@@ -3,7 +3,7 @@
 //! baselines on one Miranda field.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use szx_core::SzxConfig;
+use szx_core::{KernelSelect, SzxConfig};
 use szx_data::{Application, Scale};
 
 fn field() -> (Vec<f32>, [usize; 3], f64) {
@@ -45,8 +45,12 @@ fn bench_decompress(c: &mut Criterion) {
     let cfg = SzxConfig::absolute(eb);
     let szx = szx_core::compress(&data, &cfg).unwrap();
     let mut out = vec![0f32; data.len()];
+    let mut scratch = szx_core::DecodeScratch::default();
     g.bench_function(BenchmarkId::new("szx", "miranda-pressure"), |b| {
-        b.iter(|| szx_core::decompress_into(&szx, &mut out).unwrap());
+        b.iter(|| {
+            szx_core::decompress_into_scratch(&szx, &mut out, KernelSelect::Auto, &mut scratch)
+                .unwrap()
+        });
     });
     let sz = szx_baselines::szlike::compress(&data, dims, eb).unwrap();
     g.bench_function(BenchmarkId::new("szlike", "miranda-pressure"), |b| {

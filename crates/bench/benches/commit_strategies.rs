@@ -3,7 +3,7 @@
 //! beat Solution A (bit packing) and Solution B (bytes + residual bits).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use szx_core::{CommitStrategy, SzxConfig};
+use szx_core::{CommitStrategy, KernelSelect, SzxConfig};
 use szx_data::{Application, Scale};
 
 fn bench_strategies(c: &mut Criterion) {
@@ -40,8 +40,17 @@ fn bench_strategies(c: &mut Criterion) {
         let cfg = SzxConfig::absolute(eb).with_strategy(strategy);
         let stream = szx_core::compress(&f.data, &cfg).unwrap();
         let mut out = vec![0f32; f.data.len()];
+        let mut scratch = szx_core::DecodeScratch::default();
         g.bench_function(BenchmarkId::new(name, "miranda-vx"), |b| {
-            b.iter(|| szx_core::decompress_into(&stream, &mut out).unwrap());
+            b.iter(|| {
+                szx_core::decompress_into_scratch(
+                    &stream,
+                    &mut out,
+                    KernelSelect::Auto,
+                    &mut scratch,
+                )
+                .unwrap()
+            });
         });
     }
     g.finish();

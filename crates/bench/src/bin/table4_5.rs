@@ -5,7 +5,7 @@
 
 use bench::{mbs, median_time, scale_from_env, seed_for, REL_BOUNDS};
 use szx_baselines::{szlike, zfplike};
-use szx_core::SzxConfig;
+use szx_core::{DecodeScratch, KernelSelect, SzxConfig};
 use szx_data::Application;
 
 fn main() {
@@ -41,8 +41,15 @@ fn main() {
                                 let cfg = SzxConfig::absolute(eb);
                                 let bytes = szx_core::compress(&f.data, &cfg).expect("szx");
                                 let mut out = vec![0f32; f.data.len()];
+                                let mut scratch = DecodeScratch::default();
                                 median_time(3, || {
-                                    szx_core::decompress_into(&bytes, &mut out).expect("szx d")
+                                    szx_core::decompress_into_scratch(
+                                        &bytes,
+                                        &mut out,
+                                        KernelSelect::Auto,
+                                        &mut scratch,
+                                    )
+                                    .expect("szx d")
                                 })
                             }
                             ("ZFP", false) => median_time(3, || {

@@ -8,7 +8,7 @@
 
 use bench::{mbs, median_time, scale_from_env, seed_for};
 use szx_baselines::{szlike, zfplike};
-use szx_core::SzxConfig;
+use szx_core::{DecodeScratch, KernelSelect, SzxConfig};
 use szx_data::Application;
 use szx_metrics::distortion;
 
@@ -40,7 +40,16 @@ fn main() {
             let bytes = szx_core::compress(&f.data, &cfg).unwrap();
             let tc = median_time(3, || szx_core::compress(&f.data, &cfg).unwrap());
             let mut out = vec![0f32; f.data.len()];
-            let td = median_time(3, || szx_core::decompress_into(&bytes, &mut out).unwrap());
+            let mut scratch = DecodeScratch::default();
+            let td = median_time(3, || {
+                szx_core::decompress_into_scratch(
+                    &bytes,
+                    &mut out,
+                    KernelSelect::Auto,
+                    &mut scratch,
+                )
+                .unwrap()
+            });
             let q = distortion(&f.data, &out);
             println!(
                 "{:<6} {:>7.0e} | {:>8.2} {:>9.1} {:>11.0} {:>11.0}",

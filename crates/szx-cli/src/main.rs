@@ -10,28 +10,108 @@ use szx_core::{CommitStrategy, ErrorBound, SzxConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("compress") => cmd_compress(&args[1..]),
-        Some("decompress") => cmd_decompress(&args[1..]),
-        Some("stream") => cmd_stream(&args[1..]),
-        Some("assess") => cmd_assess(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("archive") => cmd_archive(&args[1..]),
-        Some("list") => cmd_list(&args[1..]),
-        Some("extract") => cmd_extract(&args[1..]),
-        _ => {
-            eprint!("{}", USAGE);
-            return ExitCode::from(2);
-        }
+    let Some(cmd) = COMMANDS
+        .iter()
+        .find(|c| args.first().map(String::as_str) == Some(c.name))
+    else {
+        eprint!("{}", USAGE);
+        return ExitCode::from(2);
     };
-    match result {
+    if let Err(msg) = check_flags(cmd, &args[1..]) {
+        eprintln!("error: {msg}\nrun `szx` without arguments for usage");
+        return ExitCode::from(2);
+    }
+    match (cmd.run)(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// One subcommand: its name, the flags it accepts, and its handler.
+struct Command {
+    name: &'static str,
+    /// Flags that take the next argument as their value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+    run: fn(&[String]) -> Result<(), String>,
+}
+
+/// Every subcommand with the flags it accepts. `main` rejects any other
+/// flag, and any flag given twice, before dispatch.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "compress",
+        values: &["--abs", "--rel", "--block", "--strategy", "--kernel", "--trace",
+                  "--metrics", "--events", "--manifest", "--profile", "--profile-svg"],
+        switches: &["--f64", "--parallel", "--stats", "--json"],
+        run: cmd_compress,
+    },
+    Command {
+        name: "decompress",
+        values: &["--kernel", "--trace", "--metrics", "--events", "--manifest", "--profile",
+                  "--profile-svg"],
+        switches: &["--parallel", "--stats", "--json"],
+        run: cmd_decompress,
+    },
+    Command {
+        name: "stream",
+        values: &["--abs", "--rel", "--block", "--strategy", "--kernel", "--frame", "--trace",
+                  "--metrics", "--events", "--manifest", "--profile", "--profile-svg"],
+        switches: &["--f64", "--progress", "--stats", "--json"],
+        run: cmd_stream,
+    },
+    Command { name: "assess", values: &["--profile", "--profile-svg"],
+              switches: &["--stats", "--json"], run: cmd_assess },
+    Command { name: "info", values: &[], switches: &["--stats"], run: cmd_info },
+    Command { name: "gen", values: &["--scale"], switches: &[], run: cmd_gen },
+    Command { name: "archive", values: &["--abs", "--rel"], switches: &[], run: cmd_archive },
+    Command { name: "list", values: &[], switches: &[], run: cmd_list },
+    Command { name: "extract", values: &[], switches: &[], run: cmd_extract },
+];
+
+/// Hold `args` to the command's flag lists: every `--flag` must be one the
+/// command accepts, appear at most once, and have its value if it takes one.
+fn check_flags(cmd: &Command, args: &[String]) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let flag = a.as_str();
+        if !flag.starts_with("--") {
+            continue;
+        }
+        let takes_value = cmd.values.contains(&flag);
+        if !takes_value && !cmd.switches.contains(&flag) {
+            return Err(format!("unknown flag {flag} for `szx {}`", cmd.name));
+        }
+        if seen.contains(&flag) {
+            return Err(format!("flag {flag} given more than once"));
+        }
+        seen.push(flag);
+        if takes_value && it.next().is_none() {
+            return Err(format!("flag {flag} needs a value"));
+        }
+    }
+    Ok(())
+}
+
+/// Arguments that are neither flags nor flag values (flags were already
+/// held to their command's lists by [`check_flags`]).
+fn positionals(args: &[String]) -> Vec<&String> {
+    let mut out = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            out.push(a);
+        } else if COMMANDS.iter().any(|c| c.values.contains(&a.as_str())) {
+            it.next();
+        }
+    }
+    out
 }
 
 const USAGE: &str = "\
@@ -50,7 +130,9 @@ USAGE:
                  [--events <out.jsonl>] [--manifest <run.json>]
                  [--profile <out.folded> [--profile-svg <out.svg>]]
   szx stream     <in.f32> <out.szxs> --abs <e> | --rel <r>
-                 [--f64] [--frame <elems>] [--progress] [--stats [--json]]
+                 [--f64] [--block <n>] [--strategy a|b|c]
+                 [--kernel auto|scalar|kernel|simd] [--frame <elems>]
+                 [--progress] [--stats [--json]] [--trace <out.trace.json>]
                  [--metrics <out.prom>] [--events <out.jsonl>]
                  [--manifest <run.json>]
                  [--profile <out.folded> [--profile-svg <out.svg>]]
@@ -62,6 +144,9 @@ USAGE:
   szx archive    <out.szxa> <field1.f32> [field2.f32 ...] --abs <e> | --rel <r>
   szx list       <in.szxa>
   szx extract    <in.szxa> <field-name> <out.f32>
+
+  Each subcommand accepts only the flags listed for it, each at most once;
+  anything else is a usage error (exit 2).
 
   --stats collects per-stage wall times, block classification counters, and
   the required-length histogram (szx-telemetry); the report goes to stderr
@@ -367,40 +452,10 @@ fn write_trace(path: &Path) -> Result<(), String> {
 
 /// First two non-flag tokens, skipping the values of value-taking flags.
 fn io_pair(args: &[String]) -> Result<(PathBuf, PathBuf), String> {
-    let mut cleaned = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            if matches!(
-                a.as_str(),
-                "--abs"
-                    | "--rel"
-                    | "--block"
-                    | "--strategy"
-                    | "--scale"
-                    | "--kernel"
-                    | "--trace"
-                    | "--metrics"
-                    | "--events"
-                    | "--manifest"
-                    | "--frame"
-                    | "--profile"
-                    | "--profile-svg"
-            ) {
-                skip = true;
-            }
-            continue;
-        }
-        cleaned.push(a.clone());
+    match positionals(args)[..] {
+        [input, output, ..] => Ok((PathBuf::from(input), PathBuf::from(output))),
+        _ => Err("need input and output paths".into()),
     }
-    if cleaned.len() < 2 {
-        return Err("need input and output paths".into());
-    }
-    Ok((PathBuf::from(&cleaned[0]), PathBuf::from(&cleaned[1])))
 }
 
 /// Hot-loop selection shared by compress and decompress: `scalar` is the
@@ -1005,19 +1060,7 @@ fn cmd_archive(args: &[String]) -> Result<(), String> {
         error_bound: bound,
         ..SzxConfig::relative(1e-3)
     };
-    let mut positional = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = matches!(a.as_str(), "--abs" | "--rel");
-            continue;
-        }
-        positional.push(PathBuf::from(a));
-    }
+    let mut positional: Vec<PathBuf> = positionals(args).into_iter().map(PathBuf::from).collect();
     if positional.len() < 2 {
         return Err("need an output archive and at least one field file".into());
     }

@@ -52,7 +52,7 @@ pub fn classify<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<BlockReport>
     if data.is_empty() {
         return Err(SzxError::EmptyInput);
     }
-    let eb = cfg.error_bound.resolve(data);
+    let eb = crate::engine::error_bound(data, cfg, cfg.kernel.resolve(), 1);
     let mut report = BlockReport {
         n_blocks: 0,
         n_constant: 0,
@@ -108,7 +108,7 @@ pub fn shift_overhead<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<ShiftO
     if data.is_empty() {
         return Err(SzxError::EmptyInput);
     }
-    let eb = cfg.error_bound.resolve(data);
+    let eb = crate::engine::error_bound(data, cfg, cfg.kernel.resolve(), 1);
     let mut bits_exact = 0u64;
     let mut bits_byte_aligned = 0u64;
 

@@ -26,15 +26,6 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolve to an absolute bound for the given dataset. Returns the
-    /// absolute value unchanged for [`ErrorBound::Absolute`].
-    pub fn resolve<F: SzxFloat>(&self, data: &[F]) -> f64 {
-        match *self {
-            ErrorBound::Absolute(e) => e,
-            ErrorBound::Relative(rel) => rel * value_range(data),
-        }
-    }
-
     fn raw(&self) -> f64 {
         match *self {
             ErrorBound::Absolute(e) | ErrorBound::Relative(e) => e,
@@ -149,12 +140,6 @@ impl KernelPath {
 }
 
 impl KernelSelect {
-    /// Resolve to a concrete choice: does this selection run the kernels?
-    #[inline]
-    pub fn use_kernel(self) -> bool {
-        !matches!(self, KernelSelect::Scalar)
-    }
-
     /// Resolve the request against the running CPU. Resolution order for
     /// `Auto` is simd → kernel (scalar is never picked implicitly); an
     /// explicit `Simd` request degrades to `Kernel` when the ISA extension
@@ -292,13 +277,6 @@ mod tests {
             "zero bound = lossless mode"
         );
         assert!(SzxConfig::relative(1e-2).validate().is_ok());
-    }
-
-    #[test]
-    fn relative_bound_resolves_against_range() {
-        let data = [1.0f32, 3.0, 2.0, -1.0];
-        assert_eq!(ErrorBound::Relative(0.5).resolve(&data), 2.0);
-        assert_eq!(ErrorBound::Absolute(0.125).resolve(&data), 0.125);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The SZx decompressor (serial path; the parallel path reuses the
-//! per-block routine through `pub(crate)` visibility).
+//! The SZx decompressor: the stream index, the per-block decoders and the
+//! serial entry points (wrappers that run the crate's codec engine on one
+//! worker).
 
 use crate::bitio::{BitReader, StateBits};
 use crate::block::{bytes_for, shift_for};
@@ -188,63 +189,20 @@ pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
 /// scalar decoders are byte-identical on every valid stream; `kernel` only
 /// chooses *how* blocks are reconstructed, never *what* they decode to.
 pub fn decompress_with<F: SzxFloat>(bytes: &[u8], kernel: KernelSelect) -> Result<Vec<F>> {
-    let _total = szx_telemetry::span("decompress.total");
-    // Build (and thereby validate) the index *before* allocating the output:
-    // a forged header could otherwise demand an absurd allocation.
-    let index = {
-        let _s = szx_telemetry::span("decompress.index");
-        StreamIndex::build::<F>(bytes)?
-    };
-    let mut out = vec![F::ZERO; index.header.n];
-    let mut scratch = DecodeScratch::default();
-    decompress_with_index(&index, &mut out, kernel.resolve(), &mut scratch)?;
-    Ok(out)
+    crate::engine::decompress(bytes, kernel.resolve(), 1, &mut DecodeScratch::default())
 }
 
-/// Decompress into a caller-provided buffer of exactly `header.n` elements
-/// (allocation-free reuse across repeated decompressions).
-pub fn decompress_into<F: SzxFloat>(bytes: &[u8], out: &mut [F]) -> Result<()> {
-    decompress_into_with(bytes, out, KernelSelect::Auto)
-}
-
-/// [`decompress_into`] with an explicit decode-path selection.
-pub fn decompress_into_with<F: SzxFloat>(
-    bytes: &[u8],
-    out: &mut [F],
-    kernel: KernelSelect,
-) -> Result<()> {
-    let mut scratch = DecodeScratch::default();
-    decompress_into_scratch(bytes, out, kernel, &mut scratch)
-}
-
-/// [`decompress_into_with`] reusing a caller-held [`DecodeScratch`] — the
-/// fully allocation-free path for repeated decompressions (output buffer
-/// *and* kernel arenas amortized).
+/// Decompress into a caller-provided buffer of exactly `header.n` elements,
+/// reusing a caller-held [`DecodeScratch`] — the fully allocation-free path
+/// for repeated decompressions (output buffer *and* kernel arenas
+/// amortized).
 pub fn decompress_into_scratch<F: SzxFloat>(
     bytes: &[u8],
     out: &mut [F],
     kernel: KernelSelect,
     scratch: &mut DecodeScratch,
 ) -> Result<()> {
-    let _total = szx_telemetry::span("decompress.total");
-    let index = {
-        let _s = szx_telemetry::span("decompress.index");
-        StreamIndex::build::<F>(bytes)?
-    };
-    decompress_with_index(&index, out, kernel.resolve(), scratch)
-}
-
-/// Publish what a decompression saw — block classes come for free from the
-/// already-built index, so decode telemetry costs nothing per block.
-pub(crate) fn flush_decode_telemetry<F: SzxFloat>(index: &StreamIndex<'_>) {
-    let tel = szx_telemetry::global();
-    let nblocks = index.states.len() as u64;
-    let nc = index.header.n_nonconstant as u64;
-    tel.counter("decompress.calls").incr();
-    tel.counter("decompress.blocks.constant").add(nblocks - nc);
-    tel.counter("decompress.blocks.nonconstant").add(nc);
-    tel.counter("decompress.bytes.out")
-        .add((index.header.n * F::BYTES) as u64);
+    crate::engine::decompress_into(bytes, out, kernel.resolve(), 1, scratch)
 }
 
 /// Route one non-constant block to the SIMD, kernel, or scalar decoder.
@@ -269,69 +227,6 @@ pub(crate) fn decode_block_dispatch<F: SzxFloat>(
         }
         _ => decode_nonconstant_block(payload, out, mu, strategy),
     }
-}
-
-pub(crate) fn decompress_with_index<F: SzxFloat>(
-    index: &StreamIndex<'_>,
-    out: &mut [F],
-    path: KernelPath,
-    scratch: &mut DecodeScratch,
-) -> Result<()> {
-    if out.len() != index.header.n {
-        return Err(SzxError::InvalidConfig(format!(
-            "output buffer holds {} elements, stream has {}",
-            out.len(),
-            index.header.n
-        )));
-    }
-    if szx_telemetry::enabled() {
-        flush_decode_telemetry::<F>(index);
-    }
-    let result = {
-        let _s = szx_telemetry::span("decompress.blocks");
-        // Zone-only path attribution for the profiler (the per-block
-        // dispatch below also depends on the stream's strategy; this names
-        // the path that was *requested* for the sweep).
-        let _z = szx_telemetry::trace_zone(
-            match path {
-                KernelPath::Simd => "decompress.simd.decode",
-                KernelPath::Kernel => "decompress.path.kernel",
-                KernelPath::Scalar => "decompress.path.scalar",
-            },
-            0,
-        );
-        let bs = index.header.block_size;
-        let strategy = index.header.strategy;
-        let mut nc = 0usize;
-        let mut result = Ok(());
-        for (b, chunk) in out.chunks_mut(bs).enumerate() {
-            let mu = index.mu::<F>(b);
-            if index.states.get(b) {
-                // PANIC-OK: build() verified count_ones == n_nonconstant
-                // (bounding nc) and that the payload section holds the full
-                // zsize prefix sum, so off + len <= payloads.len().
-                let off = index.payload_offsets[nc];
-                let len = index.zsizes[nc] as usize; // PANIC-OK: as above
-                let payload = &index.payloads[off..off + len]; // PANIC-OK: as above
-                if let Err(e) = decode_block_dispatch(payload, chunk, mu, strategy, path, scratch) {
-                    result = Err(e);
-                    break;
-                }
-                nc += 1;
-            } else {
-                chunk.fill(mu);
-            }
-        }
-        result
-    };
-    let grows = scratch.take_grows();
-    if grows > 0 && szx_telemetry::enabled() {
-        let tel = szx_telemetry::global();
-        tel.counter("decompress.scratch.grows").add(grows);
-        tel.gauge("decompress.scratch.arena_bytes")
-            .set_max(scratch.arena_bytes() as f64);
-    }
-    result
 }
 
 /// Decode one non-constant block payload into `out` (of the block's length).
@@ -562,7 +457,10 @@ mod tests {
         let data = wave(100);
         let bytes = compress(&data, &SzxConfig::absolute(1e-3)).unwrap();
         let mut buf = vec![0f32; 99];
-        assert!(decompress_into(&bytes, &mut buf).is_err());
+        let mut scratch = DecodeScratch::default();
+        assert!(
+            decompress_into_scratch(&bytes, &mut buf, KernelSelect::Auto, &mut scratch).is_err()
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::error::{Result, SzxError};
 use crate::float::SzxFloat;
 
 /// Reusable per-call/per-chunk scratch for the decode kernel. Threaded
-/// through `decompress_with_index` (serial: one per call; parallel: one per
+/// through the engine's decoder (serial: one per call; parallel: one per
 /// rayon group, mirroring [`crate::kernels::EncodeScratch`]) so the block
 /// loop performs **zero** allocations once the arenas have grown to the
 /// largest block.

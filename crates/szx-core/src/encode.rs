@@ -2,8 +2,8 @@
 
 use crate::bitio::BitWriter;
 use crate::block::{bytes_for, required_length, shift_for, BlockStats};
-use crate::config::{CommitStrategy, ErrorBound, KernelPath, SzxConfig};
-use crate::error::{Result, SzxError};
+use crate::config::{CommitStrategy, KernelPath, SzxConfig};
+use crate::error::Result;
 use crate::float::SzxFloat;
 use crate::kernels::{self, EncodeScratch};
 use crate::stream::Header;
@@ -143,62 +143,14 @@ impl<F: SzxFloat> ChunkOutput<F> {
     }
 }
 
-/// Resolve the configured error bound against the data, using the selected
-/// range-scan implementation (all paths produce identical values; see
-/// [`kernels::value_range`] and [`crate::simd::value_range`]).
-pub(crate) fn resolve_bound<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> f64 {
-    match cfg.error_bound {
-        ErrorBound::Absolute(e) => e,
-        ErrorBound::Relative(rel) => {
-            let range = match cfg.kernel.resolve() {
-                KernelPath::Simd => crate::simd::value_range(data),
-                KernelPath::Kernel => kernels::value_range(data),
-                KernelPath::Scalar => crate::config::value_range(data),
-            };
-            rel * range
-        }
-    }
-}
-
 /// Compress `data` into a self-describing SZx stream.
 ///
-/// This is the serial reference path; see [`crate::parallel`] for the
-/// multicore version. The relative error bound, if configured, is resolved
-/// against the global value range here and the stream records the resulting
-/// absolute bound.
+/// This is the serial path; see [`crate::parallel`] for the multicore
+/// version (same stream). The relative error bound, if configured, is
+/// resolved against the global value range here and the stream records
+/// the resulting absolute bound.
 pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
-    let _total = szx_telemetry::span("compress.total");
-    cfg.validate()?;
-    if data.is_empty() {
-        return Err(SzxError::EmptyInput);
-    }
-    let eb = {
-        let _s = szx_telemetry::span("compress.range_scan");
-        resolve_bound(data, cfg)
-    };
-    if !eb.is_finite() || eb < 0.0 {
-        return Err(SzxError::InvalidConfig(format!(
-            "resolved error bound is not usable: {eb}"
-        )));
-    }
-
-    let nblocks = data.len().div_ceil(cfg.block_size);
-    let mut chunk = ChunkOutput::with_capacity(nblocks, data.len() * F::BYTES);
-    let mut scratch = EncodeScratch::default();
-    {
-        let _s = szx_telemetry::span("compress.encode_blocks");
-        encode_blocks(
-            data,
-            cfg.block_size,
-            eb,
-            cfg.strategy,
-            cfg.kernel.resolve(),
-            &mut chunk,
-            &mut scratch,
-        );
-    }
-
-    Ok(assemble(&[chunk], data.len(), eb, cfg))
+    crate::engine::compress(data, cfg, 1)
 }
 
 /// Encode every block of `data` (a whole number of blocks except possibly
@@ -351,8 +303,8 @@ pub(crate) fn assemble<F: SzxFloat>(
     header.write(&mut bytes);
 
     // State bits. Chunk boundaries are multiples of 8 blocks (enforced by
-    // the parallel splitter), so per-chunk bit packing concatenates cleanly;
-    // the serial path has a single chunk and needs no such care.
+    // the engine's multi-worker split), so per-chunk bit packing
+    // concatenates cleanly; one worker makes a single chunk.
     let mut bitw = BitWriter::with_capacity(nblocks.div_ceil(8));
     for c in chunks {
         for &s in &c.states {
@@ -533,6 +485,7 @@ fn encode_nonconstant<F: SzxFloat>(
 mod tests {
     use super::*;
     use crate::config::ErrorBound;
+    use crate::error::SzxError;
 
     #[test]
     fn compress_rejects_empty() {

@@ -36,11 +36,16 @@
 //!
 //! ## Multicore
 //!
-//! [`parallel::compress`] / [`parallel::decompress`] parallelize over blocks
-//! with rayon, mirroring the paper's OpenMP design (§6.1): compression
-//! chunks blocks across threads, decompression prefix-sums the per-block
-//! compressed sizes (`zsize_array`) to hand each thread an independent
-//! starting offset.
+//! One engine runs every entry point, parameterized by a worker count, as
+//! in the paper's OpenMP design (§6.1): compression chunks blocks across
+//! workers, and decompression hands each worker a group of blocks with the
+//! count of non-constant blocks before it — its starting slot in the
+//! prefix-summed per-block compressed sizes (`zsize_array`). The serial
+//! functions ([`compress`], [`decompress`], ...) are the one-worker case:
+//! one chunk, one decode loop on the caller's scratch, no rayon dispatch.
+//! [`parallel::compress`] / [`parallel::decompress`] run the same engine on
+//! rayon's worker count. Streams and decoded values are identical either
+//! way.
 //!
 //! ## Guarantees
 //!
@@ -69,6 +74,7 @@ pub(crate) mod cursor;
 pub mod decode;
 pub mod dekernels;
 pub mod encode;
+pub(crate) mod engine;
 pub mod error;
 pub mod float;
 pub mod kernels;
@@ -83,9 +89,7 @@ pub use config::{
     CommitStrategy, ErrorBound, KernelPath, KernelSelect, SzxConfig, DEFAULT_BLOCK_SIZE,
     MAX_BLOCK_SIZE,
 };
-pub use decode::{
-    decompress, decompress_into, decompress_into_scratch, decompress_into_with, decompress_with,
-};
+pub use decode::{decompress, decompress_into_scratch, decompress_with};
 pub use dekernels::DecodeScratch;
 pub use encode::compress;
 pub use error::{Result, SzxError};

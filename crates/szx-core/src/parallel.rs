@@ -1,137 +1,29 @@
 //! Multicore compression/decompression, mirroring the paper's OpenMP design
-//! (§6.1) with rayon.
+//! (§6.1) with rayon: thin wrappers that run the crate's codec engine on
+//! [`rayon::current_num_threads`] workers.
 //!
-//! * **Compression** assigns contiguous *chunks of blocks* to threads; each
+//! * **Compression** assigns contiguous *chunks of blocks* to workers; each
 //!   chunk compresses independently into its own buffers, and the results
 //!   are stitched together. Chunks are multiples of 8 blocks so the per-chunk
 //!   state bits concatenate on byte boundaries.
-//! * **Decompression** first materializes the per-block payload offsets by
-//!   prefix-summing the `zsize_array` — the exact trick the paper uses to
-//!   let every thread find its starting address — then decodes blocks in
-//!   parallel, each writing a disjoint slice of the output.
+//! * **Decompression** hands each worker a group of blocks together with the
+//!   count of non-constant blocks before it — its starting slot in the
+//!   prefix-summed `zsize_array`, the exact trick the paper uses to let
+//!   every thread find its starting address — so workers write disjoint
+//!   slices of the output.
+//!
+//! Streams and decoded values are identical to the serial functions'.
 
-use rayon::prelude::*;
-
-use crate::config::{KernelPath, KernelSelect, SzxConfig};
-use crate::decode::{decode_block_dispatch, StreamIndex};
+use crate::config::{KernelSelect, SzxConfig};
 use crate::dekernels::DecodeScratch;
-use crate::encode::{assemble, encode_blocks, ChunkOutput};
-use crate::error::{Result, SzxError};
+use crate::engine;
+use crate::error::Result;
 use crate::float::SzxFloat;
-use crate::kernels::{self, EncodeScratch};
 
-/// Blocks handled per parallel decompression task. Coarse enough to amortize
-/// scheduling, fine enough to balance skewed payloads.
-const DECODE_GROUP: usize = 32;
-
-/// Parallel global value range (max − min), NaN-ignoring. `path` selects
-/// the per-chunk scan implementation; all produce the identical value
-/// (extrema are selected, never computed), so the resolved bound — and
-/// therefore the stream — is the same for every path.
-fn value_range_par<F: SzxFloat>(data: &[F], path: KernelPath) -> f64 {
-    let (min, max) = data
-        .par_chunks(64 * 1024)
-        .enumerate()
-        .map(|(ci, chunk)| {
-            let _z = szx_telemetry::trace_zone("compress.range_chunk", ci as u64);
-            match path {
-                KernelPath::Simd => {
-                    let (lo, hi) = crate::simd::minmax(chunk);
-                    (lo.to_f64(), hi.to_f64())
-                }
-                KernelPath::Kernel => {
-                    let (lo, hi) = kernels::minmax(chunk);
-                    (lo.to_f64(), hi.to_f64())
-                }
-                KernelPath::Scalar => {
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for &d in chunk {
-                        let x = d.to_f64();
-                        if x < lo {
-                            lo = x;
-                        }
-                        if x > hi {
-                            hi = x;
-                        }
-                    }
-                    (lo, hi)
-                }
-            }
-        })
-        .reduce(
-            || (f64::INFINITY, f64::NEG_INFINITY),
-            |a, b| (a.0.min(b.0), a.1.max(b.1)),
-        );
-    if max >= min {
-        max - min
-    } else {
-        0.0
-    }
-}
-
-/// Multicore SZx compression. Produces a stream byte-identical in format to
-/// the serial [`crate::compress`] (and decodable by either decompressor).
+/// Multicore SZx compression. Produces a stream byte-identical to the
+/// serial [`crate::compress`] (and decodable by either decompressor).
 pub fn compress<F: SzxFloat>(data: &[F], cfg: &SzxConfig) -> Result<Vec<u8>> {
-    let _total = szx_telemetry::span("compress.total");
-    cfg.validate()?;
-    if data.is_empty() {
-        return Err(SzxError::EmptyInput);
-    }
-    let path = cfg.kernel.resolve();
-    let eb = {
-        let _s = szx_telemetry::span("compress.range_scan");
-        match cfg.error_bound {
-            crate::config::ErrorBound::Absolute(e) => e,
-            crate::config::ErrorBound::Relative(rel) => rel * value_range_par(data, path),
-        }
-    };
-    if !eb.is_finite() || eb < 0.0 {
-        return Err(SzxError::InvalidConfig(format!(
-            "resolved error bound is not usable: {eb}"
-        )));
-    }
-
-    let bs = cfg.block_size;
-    let nblocks = data.len().div_ceil(bs);
-    // Multiple-of-8 blocks per chunk keeps state bits byte-aligned at chunk
-    // seams; aim for a few chunks per thread for load balance.
-    let target_chunks = rayon::current_num_threads() * 4;
-    let mut blocks_per_chunk = nblocks.div_ceil(target_chunks);
-    blocks_per_chunk = (blocks_per_chunk.div_ceil(8) * 8).max(8);
-    let elems_per_chunk = blocks_per_chunk * bs;
-
-    // Each worker accumulates telemetry into its own ChunkOutput.stats;
-    // the single flush happens inside assemble() at the join point, so
-    // rayon workers never contend on shared counters.
-    let chunks: Vec<ChunkOutput<F>> = {
-        let _s = szx_telemetry::span("compress.encode_blocks");
-        data.par_chunks(elems_per_chunk)
-            .enumerate()
-            .map(|(ci, chunk_data)| {
-                // One timeline lane entry per worker chunk: the flight
-                // recorder's view of skew across rayon workers.
-                let _z = szx_telemetry::trace_zone("compress.chunk", ci as u64);
-                let chunk_blocks = chunk_data.len().div_ceil(bs);
-                let mut out = ChunkOutput::with_capacity(chunk_blocks, chunk_data.len() * F::BYTES);
-                // One scratch arena per chunk: rayon workers allocate once
-                // per chunk, not once per block.
-                let mut scratch = EncodeScratch::default();
-                encode_blocks(
-                    chunk_data,
-                    bs,
-                    eb,
-                    cfg.strategy,
-                    path,
-                    &mut out,
-                    &mut scratch,
-                );
-                out
-            })
-            .collect()
-    };
-
-    Ok(assemble(&chunks, data.len(), eb, cfg))
+    engine::compress(data, cfg, rayon::current_num_threads())
 }
 
 /// Multicore SZx decompression.
@@ -143,15 +35,8 @@ pub fn decompress<F: SzxFloat>(bytes: &[u8]) -> Result<Vec<F>> {
 /// [`crate::decompress_with`] for the semantics — the output is identical
 /// either way).
 pub fn decompress_with<F: SzxFloat>(bytes: &[u8], kernel: KernelSelect) -> Result<Vec<F>> {
-    let _total = szx_telemetry::span("decompress.total");
-    // Validate the stream before allocating the output (see decode.rs).
-    let index = {
-        let _s = szx_telemetry::span("decompress.index");
-        StreamIndex::build::<F>(bytes)?
-    };
-    let mut out = vec![F::ZERO; index.header.n];
-    decompress_with_index(&index, &mut out, kernel.resolve())?;
-    Ok(out)
+    let (path, workers) = (kernel.resolve(), rayon::current_num_threads());
+    engine::decompress(bytes, path, workers, &mut DecodeScratch::default())
 }
 
 /// Multicore decompression into a caller-provided buffer.
@@ -165,74 +50,8 @@ pub fn decompress_into_with<F: SzxFloat>(
     out: &mut [F],
     kernel: KernelSelect,
 ) -> Result<()> {
-    let _total = szx_telemetry::span("decompress.total");
-    let index = {
-        let _s = szx_telemetry::span("decompress.index");
-        StreamIndex::build::<F>(bytes)?
-    };
-    decompress_with_index(&index, out, kernel.resolve())
-}
-
-fn decompress_with_index<F: SzxFloat>(
-    index: &StreamIndex<'_>,
-    out: &mut [F],
-    path: KernelPath,
-) -> Result<()> {
-    if out.len() != index.header.n {
-        return Err(SzxError::InvalidConfig(format!(
-            "output buffer holds {} elements, stream has {}",
-            out.len(),
-            index.header.n
-        )));
-    }
-    if szx_telemetry::enabled() {
-        crate::decode::flush_decode_telemetry::<F>(index);
-    }
-    let _s = szx_telemetry::span("decompress.blocks");
-    let bs = index.header.block_size;
-    let strategy = index.header.strategy;
-
-    // Prefix count of non-constant blocks before each block, so any thread
-    // can jump from a block id to its zsize/payload slot.
-    let nblocks = index.states.len();
-    let mut nc_before = Vec::with_capacity(nblocks);
-    let mut acc = 0usize;
-    for s in index.states.iter() {
-        nc_before.push(acc);
-        acc += s as usize;
-    }
-
-    out.par_chunks_mut(bs * DECODE_GROUP)
-        .enumerate()
-        .try_for_each(|(g, group)| -> Result<()> {
-            let _z = szx_telemetry::trace_zone("decompress.group", g as u64);
-            // One scratch arena per group, mirroring the per-chunk
-            // EncodeScratch: rayon workers allocate once per group of 32
-            // blocks, not once per block.
-            let mut scratch = DecodeScratch::default();
-            let first_block = g * DECODE_GROUP;
-            for (j, block_out) in group.chunks_mut(bs).enumerate() {
-                let b = first_block + j;
-                let mu = index.mu::<F>(b);
-                if index.states.get(b) {
-                    // PANIC-OK: `b < num_blocks` by the chunk split, so
-                    // `nc_before[b]` is in range and `nc < n_nonconstant`.
-                    let nc = nc_before[b];
-                    // PANIC-OK: StreamIndex::build verified n_nonconstant
-                    // entries exist in both tables.
-                    let off = index.payload_offsets[nc];
-                    // PANIC-OK: same `nc < n_nonconstant` bound as above.
-                    let len = index.zsizes[nc] as usize;
-                    // PANIC-OK: build() verified `off + len <=
-                    // payloads.len()` for every nonconstant block.
-                    let payload = &index.payloads[off..off + len];
-                    decode_block_dispatch(payload, block_out, mu, strategy, path, &mut scratch)?;
-                } else {
-                    block_out.fill(mu);
-                }
-            }
-            Ok(())
-        })
+    let (path, workers) = (kernel.resolve(), rayon::current_num_threads());
+    engine::decompress_into(bytes, out, path, workers, &mut DecodeScratch::default())
 }
 
 #[cfg(test)]

@@ -238,16 +238,10 @@ impl<'a> FrameReader<'a> {
         let len = end - off;
         // Clock read only when somebody is listening on the event sink.
         let started = szx_telemetry::event_sink_installed().then(std::time::Instant::now);
-        let _total = szx_telemetry::span("decompress.total");
-        let index = {
-            let _s = szx_telemetry::span("decompress.index");
-            crate::decode::StreamIndex::build::<F>(stream)?
-        };
-        let mut out = vec![F::ZERO; index.header.n];
-        crate::decode::decompress_with_index(
-            &index,
-            &mut out,
+        let out = crate::engine::decompress(
+            stream,
             self.kernel.resolve(),
+            1,
             &mut self.scratch.borrow_mut(),
         )?;
         if let Some(start) = started {

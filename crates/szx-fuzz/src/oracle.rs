@@ -14,16 +14,22 @@
 //! 6. streaming (`FrameReader::frame` on the input wrapped as a
 //!    single-frame container, scalar and kernel).
 //!
+//! Paths 1–4 and 6 run szx-core's one codec engine (serial and streaming
+//! on one worker, parallel on rayon's worker count); random access decodes
+//! block by block through its own index. The buffer-reuse entry point
+//! `decompress_into_scratch` wraps the same engine and is held to the
+//! reference by the roundtrip target.
+//!
 //! The contract checked on *every* input, hostile or well-formed:
 //!
 //! * no path may panic — errors only (`catch_unwind` turns any panic into
 //!   a [`Failure`] naming the path);
 //! * all paths agree on decodability;
 //! * paths that decode must reconstruct **bit-identical** outputs;
-//! * the scalar and kernel serial decoders, and the streaming reader
-//!   against its serial twin, must return **identical error strings**
-//!   (they share one code path by design — a drifting message means the
-//!   paths stopped sharing validation logic).
+//! * every engine path must return the reference's **error string**
+//!   verbatim (the engine reports the first failing block in block order
+//!   at any worker count — a drifting message means the paths stopped
+//!   sharing validation logic).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -197,12 +203,12 @@ pub fn differential_decode_typed<F: SzxFloat>(bytes: &[u8]) -> Result<DecodeRepo
         ("parallel-scalar", KernelSelect::Scalar),
         ("parallel-kernel", KernelSelect::Kernel),
     ] {
-        // Parallel decode may surface the error of whichever chunk failed,
-        // so only decodability and bits are compared, not messages.
+        // The engine reports the first failing block in block order at any
+        // worker count, so parallel errors must match verbatim too.
         let out = run_path(path, || {
             szx_core::parallel::decompress_with::<F>(bytes, sel)
         })?;
-        check(path, out, false)?;
+        check(path, out, true)?;
     }
 
     for (path, sel) in [

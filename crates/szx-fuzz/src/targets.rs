@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use szx_core::{KernelSelect, SzxFloat};
+use szx_core::{DecodeScratch, KernelSelect, SzxFloat};
 
 use crate::corpus::fnv1a64;
 use crate::gen::{Spec, SpecType};
@@ -256,7 +256,8 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
         KernelSelect::Simd,
     ] {
         let mut out = vec![F::ZERO; data.len()];
-        szx_core::decompress_into_with(&archive, &mut out, sel)
+        let mut scratch = DecodeScratch::default();
+        szx_core::decompress_into_scratch(&archive, &mut out, sel, &mut scratch)
             .map_err(|e| Failure::new("roundtrip:decode-error", format!("into: {e}")))?;
         if out.iter().zip(&words).any(|(v, w)| v.to_word() != *w) {
             return Err(Failure::new(
@@ -265,7 +266,7 @@ fn roundtrip_typed<F: SzxFloat>(spec: &Spec) -> Result<u64, Failure> {
             ));
         }
         let mut short = vec![F::ZERO; data.len().saturating_sub(1)];
-        if szx_core::decompress_into_with(&archive, &mut short, sel).is_ok() {
+        if szx_core::decompress_into_scratch(&archive, &mut short, sel, &mut scratch).is_ok() {
             return Err(Failure::new(
                 "roundtrip:short-buffer-accepted",
                 format!("{spec:?}"),

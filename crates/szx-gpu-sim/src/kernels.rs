@@ -15,7 +15,7 @@
 
 use szx_core::bitio::pack_state_bits;
 use szx_core::block::{bytes_for, required_length, shift_for, BlockStats};
-use szx_core::config::{CommitStrategy, SzxConfig};
+use szx_core::config::{CommitStrategy, ErrorBound, SzxConfig};
 use szx_core::error::{Result, SzxError};
 use szx_core::float::SzxFloat;
 use szx_core::stream::Header;
@@ -214,7 +214,10 @@ pub fn compress_gpu(data: &[f32], cfg: &SzxConfig) -> Result<(Vec<u8>, Cost)> {
             "the GPU path implements only the ByteAligned (Solution C) strategy".into(),
         ));
     }
-    let eb = cfg.error_bound.resolve(data);
+    let eb = match cfg.error_bound {
+        ErrorBound::Absolute(e) => e,
+        ErrorBound::Relative(rel) => rel * szx_core::config::value_range(data),
+    };
     let mut cost = Cost::default();
 
     let mut states = Vec::new();

@@ -149,10 +149,19 @@ mod tests {
     fn szx_dump_total_wins_despite_larger_files() {
         // The Figure-16 claim. Compression time dominates at ThetaGPU-like
         // bandwidth, so SZx's speed advantage carries the total.
+        // Each codec's best `codec_time` over 5 dumps, the two codecs
+        // alternating so both see the same host phases: the two times are
+        // only ~10% apart, and a single wall-clock sample swings by more
+        // than that when other tests share the CPU.
         let (data, dims) = payload();
         let pfs = PfsConfig::theta_like();
-        let szx = dump(&data, dims, 1e-3, IoCodec::Szx, 512, &pfs);
-        let sz = dump(&data, dims, 1e-3, IoCodec::SzLike, 512, &pfs);
+        let run = |codec| dump(&data, dims, 1e-3, codec, 512, &pfs);
+        let faster = |a: Breakdown, b: Breakdown| if b.codec_time < a.codec_time { b } else { a };
+        let (mut szx, mut sz) = (run(IoCodec::Szx), run(IoCodec::SzLike));
+        for _ in 1..5 {
+            szx = faster(szx, run(IoCodec::Szx));
+            sz = faster(sz, run(IoCodec::SzLike));
+        }
         assert!(
             szx.bytes_per_rank >= sz.bytes_per_rank,
             "SZ compresses smaller"

@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use szx_core::{compress, decompress_into, SzxConfig};
+use szx_core::{compress, decompress_into_scratch, DecodeScratch, KernelSelect, SzxConfig};
 
 /// A minimal compressed-snapshot store.
 struct StateCache {
@@ -39,7 +39,9 @@ impl StateCache {
     }
 
     fn restore(&self, slot: usize, out: &mut [f32]) {
-        decompress_into(&self.slots[slot], out).expect("decompress state");
+        let mut scratch = DecodeScratch::default();
+        decompress_into_scratch(&self.slots[slot], out, KernelSelect::Auto, &mut scratch)
+            .expect("decompress state");
     }
 
     fn compressed_bytes(&self) -> usize {

@@ -5,7 +5,8 @@
 #   scripts/check.sh            # build + tests + release property/kernel
 #                               # equivalence suite + fmt + clippy + audit
 #   scripts/check.sh --quick    # tier-1 subset: build + debug tests +
-#                               # release decode-equivalence subset + audit
+#                               # benchmark-harness tests + release
+#                               # decode-equivalence subset + audit
 #   scripts/check.sh --fast     # alias for --quick (kept for muscle memory)
 #   scripts/check.sh --audit    # just the szx-audit static-analysis pass,
 #                               # refreshing results/AUDIT.json
@@ -260,6 +261,12 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The benchmark harness (.perfbench/, a cargo workspace of its own) links
+# the public szx-core API by path; building and unit-testing it here fails
+# the gate on any API change that would break the benchmark.
+echo "==> cargo test (benchmark harness, .perfbench)"
+cargo test --offline -q --manifest-path .perfbench/Cargo.toml
 
 if [[ "${1:-}" == "--fast" || "${1:-}" == "--quick" ]]; then
     # The decode kernel only matters under optimizations (overlapping loads,
